@@ -9,6 +9,13 @@ out.  Two properties are checked:
 * with enough cores, the parallel sweep beats serial by >= 2x (the
   speedup assertion is skipped on boxes with < 4 cores, where a
   process pool cannot physically deliver it).
+
+It also A/Bs the two parallel dispatch paths on the same sweep: plain
+fail-fast ``workers=2`` against a fault-free resilient run
+(``retries=1``), interleaved, best of several.  Both ship the runner
+to each worker once and chunk the same way, so resilience should cost
+almost nothing when nothing fails; ``check_perf_regression.py`` gates
+the ratio at 1.10.
 """
 
 import os
@@ -17,8 +24,8 @@ import time
 import pytest
 
 from repro.clients import figure2_clients
-from repro.testbed import (SweepSpec, TestCaseConfig, TestCaseKind,
-                           TestRunner)
+from repro.testbed import (Resilience, RetryPolicy, SweepSpec,
+                           TestCaseConfig, TestCaseKind, TestRunner)
 
 from _util import record_timing
 
@@ -30,6 +37,34 @@ def _runner() -> TestRunner:
                           kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                           sweep=SweepSpec.range(0, 400, 10))
     return TestRunner(figure2_clients(), [case], seed=2)
+
+
+def measure_resilient_vs_plain(rounds: int = 3, workers: int = 2):
+    """Best-of-``rounds`` seconds of the figure 2 sweep over
+    ``workers`` processes: ``(plain_s, resilient_s, runs)``.
+
+    The two paths alternate within each round, so both see the same
+    machine load; a fresh :class:`Resilience` per run keeps the
+    manifest clean.  Each run pays its own pool start (the two paths
+    install different worker contexts), as a CLI invocation does.
+    """
+    plain_s = resilient_s = float("inf")
+    runs = 0
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        plain = _runner().run(workers=workers)
+        plain_s = min(plain_s, time.perf_counter() - t0)
+
+        res = Resilience(policy=RetryPolicy(retries=1))
+        runner = _runner()
+        runner.resilience = res
+        t0 = time.perf_counter()
+        resilient = runner.run(workers=workers)
+        resilient_s = min(resilient_s, time.perf_counter() - t0)
+        assert resilient.records == plain.records
+        assert not res.manifest.failures and res.manifest.retries == 0
+        runs = len(plain)
+    return plain_s, resilient_s, runs
 
 
 def test_parallel_records_identical():
@@ -70,3 +105,12 @@ def test_parallel_figure2_speedup(benchmark):
     assert serial_s / parallel_s >= 2.0, (
         f"expected >=2x speedup with {WORKERS} workers: "
         f"serial {serial_s:.2f}s vs parallel {parallel_s:.2f}s")
+
+
+def test_resilient_dispatch_ab(benchmark):
+    plain_s, resilient_s, runs = benchmark.pedantic(
+        measure_resilient_vs_plain, rounds=1, iterations=1)
+    record_timing("figure2_sweep_parallel_resilient", resilient_s,
+                  {"runs": runs, "workers": 2, "dispatch": "chunked",
+                   "plain_seconds": round(plain_s, 6),
+                   "ratio_vs_plain": round(resilient_s / plain_s, 3)})

@@ -1,5 +1,5 @@
 """CI perf gate for the simulator core, the campaign store, the
-population campaign, and the synthesis search.
+population campaign, the synthesis search, and resilient dispatch.
 
 Re-measures four headline workloads and fails when one is more than
 30% slower than the best committed sample in
@@ -20,6 +20,13 @@ Re-measures four headline workloads and fails when one is more than
   ``synthesis_candidates_per_second`` (measurement imported from
   there too).
 
+A fifth gate is relative, like the packed-store one: a fault-free
+resilient figure 2 sweep (``retries=1``) must stay within 1.10x of
+plain ``workers=2`` dispatch, measured interleaved — what
+``bench_parallel_campaign.py`` records as
+``figure2_sweep_parallel_resilient`` (measurement imported from
+there).
+
 The committed samples come from the same machine class as CI, and the
 measurement takes the best of three to damp shared-runner noise, so a
 30% threshold catches wholesale regressions (an accidentally quadratic
@@ -38,6 +45,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from repro.analysis import figure2_sweep  # noqa: E402
 
+from bench_parallel_campaign import measure_resilient_vs_plain  # noqa: E402
 from bench_population import measure_population  # noqa: E402
 from bench_service import measure_packed_vs_perfile  # noqa: E402
 from bench_synthesis import measure_synthesis  # noqa: E402
@@ -45,6 +53,8 @@ from bench_synthesis import measure_synthesis  # noqa: E402
 TIMINGS_PATH = (pathlib.Path(__file__).resolve().parent
                 / "results" / "bench_timings.json")
 THRESHOLD = 1.30
+#: Fault-free resilient dispatch over plain dispatch, same sweep.
+RESILIENT_THRESHOLD = 1.10
 
 
 def gate_simnet_core(timings) -> int:
@@ -160,13 +170,36 @@ def gate_synthesis(timings) -> int:
     return 0
 
 
+def gate_resilient_dispatch(timings) -> int:
+    """Relative gate: with nothing failing, the resilient path must
+    cost (almost) nothing over plain dispatch.  Best of five
+    interleaved pairs; both sides share the runner's load, so the
+    ratio holds where absolute times drift."""
+    samples = timings.get("figure2_sweep_parallel_resilient", [])
+    plain_s, resilient_s, runs = measure_resilient_vs_plain(rounds=5)
+    ratio = resilient_s / plain_s
+    committed = min((sample["seconds"] for sample in samples
+                     if sample.get("dispatch") == "chunked"), default=None)
+    note = (f"; committed best {committed:.3f}s"
+            if committed is not None else "")
+    print(f"[perf-gate] resilient dispatch: {resilient_s:.3f}s vs plain "
+          f"{plain_s:.3f}s over {runs} runs ({ratio:.2f}x, threshold "
+          f"{RESILIENT_THRESHOLD:.2f}x{note})")
+    if ratio > RESILIENT_THRESHOLD:
+        print("[perf-gate] FAIL: fault-free resilient dispatch is "
+              f"{(ratio - 1) * 100:.0f}% slower than plain dispatch")
+        return 1
+    return 0
+
+
 def main() -> int:
     try:
         timings = json.loads(TIMINGS_PATH.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         timings = {}
     failures = (gate_simnet_core(timings) + gate_packed_store(timings)
-                + gate_population(timings) + gate_synthesis(timings))
+                + gate_population(timings) + gate_synthesis(timings)
+                + gate_resilient_dispatch(timings))
     if failures:
         return 1
     print("[perf-gate] OK")

@@ -55,13 +55,22 @@ def _store_from(args: argparse.Namespace):
                       layout=getattr(args, "store_layout", "auto"))
 
 
-def _resilience_from(args: argparse.Namespace, store,
-                     experiment_name: str):
+#: ``(argparse dest, spelling)`` of the global flags that only the
+#: resilient campaign runtime reads.
+_RESILIENCE_FLAGS = (("retries", "--retries"),
+                     ("entry_timeout", "--entry-timeout"),
+                     ("fault_plan", "--fault-plan"),
+                     ("resume", "--resume"))
+
+
+def _resilience_from(args: argparse.Namespace, store, experiment):
     """The fault-tolerant runtime bundle for this invocation, or None.
 
     Any of ``--retries/--entry-timeout/--fault-plan/--resume`` makes
-    resilience *explicit* (the ``[faults]`` summary prints).  A plain
-    cached run still gets an implicit bundle whose only job is the
+    resilience *explicit* (the ``[faults]`` summary prints); an
+    experiment that does not run through the resilient runtime
+    rejects them rather than silently ignoring them.  A plain cached
+    run still gets an implicit bundle whose only job is the
     crash-safe campaign journal — execution stays on the legacy fast
     path and the output stays byte-identical, but a killed invocation
     becomes resumable.
@@ -70,8 +79,15 @@ def _resilience_from(args: argparse.Namespace, store,
     entry_timeout = getattr(args, "entry_timeout", None)
     fault_plan_text = getattr(args, "fault_plan", None)
     resume = bool(getattr(args, "resume", False))
-    explicit = (retries is not None or entry_timeout is not None
-                or fault_plan_text is not None or resume)
+    given = [flag for dest, flag in _RESILIENCE_FLAGS
+             if getattr(args, dest, None) is not None
+             and getattr(args, dest) is not False]
+    explicit = bool(given)
+    if given and not experiment.resilient:
+        raise SystemExit(
+            f"repro: {', '.join(given)} would be ignored by "
+            f"{experiment.name}: it does not run its campaigns through "
+            "the resilient runtime")
     if resume and store is None:
         raise SystemExit("repro: --resume needs --cache-dir (or "
                          "$REPRO_CACHE_DIR): the campaign journal "
@@ -98,7 +114,7 @@ def _resilience_from(args: argparse.Namespace, store,
     journal = None
     if store is not None:
         journal = CampaignJournal(
-            store.root / ".journal" / f"{experiment_name}.log")
+            store.root / ".journal" / f"{experiment.name}.log")
         if plan is not None:
             store.fault_plan = plan
     return Resilience(policy=policy, fault_plan=plan, journal=journal,
@@ -112,8 +128,7 @@ def _session_from(args: argparse.Namespace, experiment) -> Session:
     return Session(seed=args.seed, workers=args.workers,
                    store=store,
                    knobs=knob_mapping(experiment, vars(args)),
-                   resilience=_resilience_from(args, store,
-                                               experiment.name))
+                   resilience=_resilience_from(args, store, experiment))
 
 
 def _run_experiment(experiment, args: argparse.Namespace) -> None:
@@ -397,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: fail fast)")
     parser.add_argument("--entry-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-entry watchdog: a campaign run that "
-                             "exceeds this is killed (the worker pool "
-                             "is respawned) and charged a failed "
+                        help="watchdog budget per campaign run: a "
+                             "dispatched chunk that exceeds this times "
+                             "its run count is killed (the worker pool "
+                             "is respawned) and bisected down to the "
+                             "one run that is charged a failed "
                              "attempt; needs --workers >= 2 to preempt")
     parser.add_argument("--resume", action="store_true",
                         help="skip campaign entries already recorded in "

@@ -191,6 +191,10 @@ class Experiment:
     knobs: Tuple[Knob, ...] = ()
     #: Whether render() produces a machine-readable Artifact.data.
     json_capable: bool = False
+    #: Whether execute() runs its campaigns through the resilient
+    #: runtime (``session.resilience``); the CLI rejects resilience
+    #: flags for experiments that would ignore them.
+    resilient: bool = False
 
     def default_knobs(self) -> Dict[str, Any]:
         return {knob.name: knob.default for knob in self.knobs}

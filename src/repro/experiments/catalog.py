@@ -208,6 +208,7 @@ class Figure2Experiment(Experiment):
     name = "figure2"
     title = "CAD sweep per client version"
     paper = "Figure 2"
+    resilient = True
     knobs = (
         Knob("step", type=int, default=25,
              help="delay step in ms (paper: 5)"),
@@ -265,6 +266,7 @@ class Figure5Experiment(Experiment):
     name = "figure5"
     title = "address selection attempts"
     paper = "Figure 5"
+    resilient = True
 
     def _clients(self) -> List:
         from ..clients import get_profile

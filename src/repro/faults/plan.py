@@ -19,7 +19,7 @@ Two injection seams:
   :class:`InjectedFault`, since killing the parent would be the
   campaign abort we are defending against), and
   :data:`FaultKind.ENTRY_HANG` wedges the entry longer than the
-  per-entry watchdog allows.  Targeting is per ``(coords, attempt)``:
+  watchdog allows.  Targeting is per ``(coords, attempt)``:
   a spec with ``attempts=1`` fires on the first attempt only, so a
   retrying campaign heals deterministically.
 * **store faults** (:meth:`FaultPlan.store_fault`) fire inside
@@ -50,7 +50,7 @@ class FaultKind(enum.Enum):
     #: parent); serial execution raises :class:`InjectedFault` instead.
     WORKER_CRASH = "crash"
     #: Wedge the entry (sleep ``hang_s``, then fail) — exercises the
-    #: per-entry watchdog, or degrades to a slow transient failure.
+    #: watchdog, or degrades to a slow transient failure.
     ENTRY_HANG = "hang"
     #: Replace an entry write with truncated garbage bytes.
     CORRUPT_WRITE = "corrupt"
@@ -107,8 +107,8 @@ class FaultSpec:
 class FaultPlan:
     """A seeded set of fault streams, consulted at the two seams.
 
-    Frozen so it travels by value (pickled into pool workers alongside
-    the runner); the store-occurrence counter is deliberately excluded
+    Frozen so it travels by value (pickled into pool workers with the
+    campaign's worker context); the store-occurrence counter is deliberately excluded
     from equality and only meaningful parent-side, where all store
     traffic happens.
     """

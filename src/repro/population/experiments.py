@@ -36,6 +36,7 @@ class PopulationExperiment(Experiment):
 
     paper = "§7 outlook; Piraux 2023 (population CDFs)"
     json_capable = True
+    resilient = True
     knobs = (
         Knob("samples", type=int, default=250,
              help="sampled users in the population (default 250)"),

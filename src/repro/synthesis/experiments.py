@@ -45,6 +45,7 @@ class _SynthesisExperiment(Experiment):
     """Shared knobs + component wiring for both synthesis verbs."""
 
     json_capable = True
+    resilient = True
     knobs = (
         Knob("synthesis_seeds", type=int, default=32,
              help="seeded grid candidates in round 0 (default 32)"),

@@ -25,7 +25,7 @@ and warm-store scoring are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..testbed.resilience import Resilience
@@ -163,11 +163,6 @@ class Scorer:
         cases = [self.space.case_for(c) for c in candidates]
         return TestRunner(self._runner_clients, cases, seed=self.seed,
                           store=self.store, resilience=self.resilience)
-
-    def plan_keys(self, candidates: "Sequence[Candidate]"
-                  ) -> "Iterator[str]":
-        """Store keys of one scoring round, enumeration order, pure."""
-        yield from self.runner_for(candidates).store_keys()
 
     # -- scoring ---------------------------------------------------------------
 

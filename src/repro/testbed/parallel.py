@@ -13,6 +13,15 @@ own testbeds, so runs stay perfectly isolated), and merges the
 :class:`RunRecord`s back in deterministic spec order.  The result is
 record-for-record identical to ``TestRunner.run()`` serial output.
 
+The campaign's configuration reaches each worker **once**: a
+:class:`WorkerContext` — a storeless copy of the runner plus the fault
+plan — is pickled per campaign and installed by the pool's
+initializer, so a chunk payload is just ``(specs, attempts)``.  Plain
+and resilient dispatch share that worker entry point; the plain path
+fails fast through :func:`~repro.fanout.shared_map`, the resilient
+path retries, bisects and watchdogs chunks through
+:func:`~repro.testbed.resilience.resilient_map`.
+
 With a :class:`~repro.testbed.store.CampaignStore` attached to the
 runner, the executor resolves cache hits in the *parent* process —
 only the misses travel to the pool, and a fully warm campaign never
@@ -21,11 +30,13 @@ touches the pool at all.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Sequence,
-                    Tuple)
+import pickle
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from dataclasses import dataclass
 
+from ..faults import FaultPlan, inject_entry_fault
 from ..fanout import shared_map
 from .resilience import failure_record, resilient_map
 from .store import decode_record
@@ -35,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Chunks per worker: small enough to load-balance uneven run costs
 #: (address-selection runs take far longer than CAD runs), large
-#: enough to amortize per-task pickling of the runner configuration.
+#: enough to amortize the per-future dispatch round trip.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -94,50 +105,75 @@ def spec_keys(runner: "TestRunner",
     return keys
 
 
-def _execute_chunk(payload: "Tuple[TestRunner, Sequence[RunSpec]]"
-                   ) -> "List[RunRecord]":
-    """Worker entry point: run one chunk of specs in this process.
+class WorkerContext:
+    """What a pool worker needs to execute chunks of a campaign.
 
-    The runner arrives pickled (profiles, cases, and knobs are all
-    plain frozen dataclasses); every run builds its own testbed, so
-    nothing is shared between runs, let alone between workers.  Cache
-    lookups happen in the parent — workers always execute for real.
+    Holds a storeless, resilience-free copy of the runner (cases,
+    clients, seed and knobs — everything :meth:`~repro.testbed.runner
+    .TestRunner.run_single` reads) and the fault plan; never a store,
+    journal or fault manifest, which stay parent-side.  ``contain``
+    selects the resilient protocol: an entry's exception ends the
+    chunk and is reported with the completed prefix instead of being
+    raised.
     """
-    runner, specs = payload
-    records = []
-    for spec in specs:
-        records.append(runner.run_single(
-            runner.cases[spec.case_index],
-            runner.clients[spec.client_index],
-            spec.value_ms, spec.repetition))
-    return records
+
+    def __init__(self, runner: "TestRunner",
+                 fault_plan: "Optional[FaultPlan]" = None,
+                 contain: bool = False) -> None:
+        self.runner = runner
+        self.fault_plan = fault_plan
+        self.contain = contain
+
+    def run_chunk(self, specs: "Sequence[RunSpec]",
+                  attempts: "Sequence[int]"
+                  ) -> "Tuple[List[RunRecord], Optional[str]]":
+        """Run ``specs`` in order: ``(records, None)``, or — when
+        containing — the records before the first failing spec and
+        its error message.  Each spec's attempt number gates the fault
+        plan, so a crash targeted at attempt 0 kills this worker once
+        and runs clean on the retry, which is what makes chaos
+        campaigns heal into byte-identical results."""
+        runner = self.runner
+        plan = self.fault_plan
+        records: "List[RunRecord]" = []
+        for spec, attempt in zip(specs, attempts):
+            case = runner.cases[spec.case_index]
+            profile = runner.clients[spec.client_index]
+            try:
+                if plan is not None:
+                    fault = plan.entry_fault(
+                        (case.name, profile.full_name, spec.value_ms,
+                         spec.repetition), attempt)
+                    if fault is not None:
+                        inject_entry_fault(fault, in_worker=True)
+                records.append(runner.run_single(
+                    case, profile, spec.value_ms, spec.repetition))
+            except Exception as exc:
+                if not self.contain:
+                    raise
+                return records, str(exc) or type(exc).__name__
+        return records, None
 
 
-def _execute_entry(payload: "Tuple[TestRunner, RunSpec]",
-                   attempt: int) -> "RunRecord":
-    """Worker entry point for resilient dispatch: one spec, one run.
+#: This worker's campaign context, set by :func:`install_context`
+#: when the pool starts the worker (None in the parent).
+_worker_context: "Optional[WorkerContext]" = None
 
-    Per-entry (not per-chunk) so that a crash, hang, or retry stays
-    attributable to a single spec.  The attempt number comes from the
-    parent's dispatcher and gates the fault plan — a crash spec with
-    ``attempts=1`` kills this worker on attempt 0 and runs clean on
-    the retry, which is what makes chaos campaigns heal into
-    byte-identical results.
-    """
-    runner, spec = payload
-    case = runner.cases[spec.case_index]
-    profile = runner.clients[spec.client_index]
-    res = getattr(runner, "resilience", None)
-    if res is not None and res.fault_plan is not None:
-        fault = res.fault_plan.entry_fault(
-            (case.name, profile.full_name, spec.value_ms,
-             spec.repetition), attempt)
-        if fault is not None:
-            from ..faults import inject_entry_fault
 
-            inject_entry_fault(fault, in_worker=True)
-    return runner.run_single(case, profile, spec.value_ms,
-                             spec.repetition)
+def install_context(blob: bytes) -> None:
+    """Pool initializer: unpickle the campaign's worker context."""
+    global _worker_context
+    _worker_context = pickle.loads(blob)
+
+
+def _run_chunk(payload: "Tuple[Sequence[RunSpec], Sequence[int]]"
+               ) -> "Tuple[List[RunRecord], Optional[str]]":
+    """Worker entry point, plain and resilient: one chunk of specs
+    with their fault-targeting attempts.  Every run builds its own
+    testbed, so nothing is shared between runs, let alone between
+    workers; cache lookups happen in the parent."""
+    specs, attempts = payload
+    return _worker_context.run_chunk(specs, attempts)
 
 
 class CampaignExecutor:
@@ -153,10 +189,25 @@ class CampaignExecutor:
         """Contiguous spec chunks, preserving enumeration order."""
         return self._chunked(enumerate_specs(self.runner))
 
-    def _chunked(self, specs: "List[RunSpec]") -> "List[List[RunSpec]]":
+    def _chunk_size(self, count: int) -> int:
         target = max(1, self.workers * _CHUNKS_PER_WORKER)
-        size = max(1, -(-len(specs) // target))  # ceil division
+        return max(1, -(-count // target))  # ceil division
+
+    def _chunked(self, specs: "List[RunSpec]") -> "List[List[RunSpec]]":
+        size = self._chunk_size(len(specs))
         return [specs[i:i + size] for i in range(0, len(specs), size)]
+
+    def _context(self, resilient: bool) -> bytes:
+        """This campaign's pickled :class:`WorkerContext` — the
+        pool's ``initargs``, so workers unpickle it once per start."""
+        plan = None
+        if resilient:
+            plan = self.runner.resilience.fault_plan
+            if plan is not None:
+                # Store-fault counters are parent-side state.
+                plan = FaultPlan(seed=plan.seed, specs=plan.specs)
+        return pickle.dumps(WorkerContext(self.runner.worker_copy(), plan,
+                                          contain=resilient))
 
     def execute(self) -> "ResultSet":
         from .runner import ResultSet
@@ -207,13 +258,13 @@ class CampaignExecutor:
     def _execute_pending(self, specs: "List[RunSpec]"
                          ) -> "Iterator[RunRecord]":
         """Execute specs in order — over the shared pool when there is
-        enough work to split, serially otherwise (a fully warm
+        enough work to split, in-process otherwise (a fully warm
         campaign has no pending specs and never touches the pool).
 
         A resilient runner routes through :func:`resilient_map`
-        instead of the chunked fast path: per-entry futures cost more
-        pickling, but are what make crashes attributable, hangs
-        preemptible, and retries per-spec.
+        instead of the fail-fast :func:`shared_map`: same chunks, same
+        worker entry point, plus retries, crash bisection and the
+        per-chunk watchdog.
         """
         res = getattr(self.runner, "resilience", None)
         if res is not None and res.wants_resilient_dispatch and specs:
@@ -221,15 +272,17 @@ class CampaignExecutor:
             return
         chunks = self._chunked(specs) if specs else []
         if len(chunks) <= 1 or self.workers == 1:
+            local = WorkerContext(self.runner)
             for chunk in chunks:
-                yield from _execute_chunk((self.runner, chunk))
+                yield from local.run_chunk(chunk, [0] * len(chunk))[0]
             return
-        payloads = [(self.runner, chunk) for chunk in chunks]
+        payloads = [(tuple(chunk), (0,) * len(chunk)) for chunk in chunks]
         # shared_map yields chunk results in submission order, which is
         # enumeration order — the merge is deterministic by design.
-        for chunk_records in shared_map(_execute_chunk, payloads,
-                                        self.workers):
-            yield from chunk_records
+        for records, _ in shared_map(_run_chunk, payloads, self.workers,
+                                     initializer=install_context,
+                                     initargs=(self._context(False),)):
+            yield from records
 
     def _execute_resilient(self, specs: "List[RunSpec]"
                            ) -> "Iterator[RunRecord]":
@@ -237,20 +290,20 @@ class CampaignExecutor:
         res = runner.resilience
         assert res is not None
         res.manifest.dispatched += len(specs)
-        payloads = [(runner, spec) for spec in specs]
 
-        def describe(payload: "Tuple[TestRunner, RunSpec]") -> str:
-            _, spec = payload
+        def describe(spec: RunSpec) -> str:
             case = runner.cases[spec.case_index]
             profile = runner.clients[spec.client_index]
             return (f"{case.name}/{profile.full_name}"
                     f"/v{spec.value_ms}/r{spec.repetition}")
 
-        def fallback(payload, failure):
-            _, spec = payload
+        def fallback(spec: RunSpec, failure) -> "RunRecord":
             return failure_record(runner.cases[spec.case_index],
                                   runner.clients[spec.client_index],
                                   spec.value_ms, spec.repetition, failure)
 
-        yield from resilient_map(_execute_entry, payloads, self.workers,
-                                 res, describe, fallback)
+        yield from resilient_map(_run_chunk, specs, self.workers, res,
+                                 describe, fallback,
+                                 chunk_size=self._chunk_size(len(specs)),
+                                 initializer=install_context,
+                                 initargs=(self._context(True),))

@@ -10,11 +10,11 @@ pieces here defend each of those seams:
 * :class:`RetryPolicy` — bounded retries with seeded exponential
   backoff + jitter (:func:`repro.seeding.backoff_jitter`), so retry
   schedules are deterministic and replayable.
-* :func:`resilient_map` — per-future dispatch over the shared pool: a
+* :func:`resilient_map` — chunked dispatch over the shared pool: a
   ``BrokenProcessPool`` respawns the pool and re-dispatches only the
-  unfinished payloads; a per-entry watchdog (``entry_timeout``)
-  converts hung payloads into recorded failures instead of wedged
-  campaigns.
+  unfinished work; a per-chunk watchdog (``entry_timeout`` per entry
+  in the chunk) converts hung chunks into bisected retries and, at a
+  single entry, into recorded failures instead of wedged campaigns.
 * :class:`CampaignJournal` — an append-only log of completed store
   keys, flushed per append, so a SIGKILLed campaign resumes
   (``--resume``) with zero re-executions of journaled work.
@@ -25,19 +25,25 @@ pieces here defend each of those seams:
 
 The crash-attribution problem: when a pool breaks, *every* in-flight
 future fails with ``BrokenProcessPool`` — the culprit is
-indistinguishable from its innocent pool-mates.  Charging everyone an
-attempt would let one persistent crasher exhaust its neighbours'
-retry budgets; charging no one would let it crash-loop forever.  The
-dispatcher therefore re-dispatches break survivors in a *settle*
-phase (no new payloads join until the survivors clear): a recoverable
-crasher heals on its next attempt and nobody is charged, while a pool
-that breaks *again* during settle can only have been broken by a
-survivor — so all of them are charged, bounding persistent crashers
-by the retry budget without ever spuriously failing an innocent.
+indistinguishable from its innocent pool-mates, and, inside a chunk,
+from its chunk-mates.  Charging everyone an attempt would let one
+persistent crasher exhaust its neighbours' retry budgets; charging no
+one would let it crash-loop forever.  The dispatcher therefore
+*bisects*: every chunk caught in a break re-dispatches as two halves,
+uncharged, with its fault-targeting attempt advanced (so an entry
+that crashes once heals on the way down).  A single entry caught in a
+break is next dispatched *alone*, and only a break with that entry
+alone in the pool charges it.  A watchdog timeout belongs to the
+chunk that overran its budget and is bisected the same way, down to
+the one entry it charges.  Persistent crashers stay bounded by the
+retry budget, and an innocent entry is never charged.  An exception,
+by contrast, is attributable inside the worker: it charges its own
+entry only.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -72,10 +78,12 @@ class RetryPolicy:
 
     #: Re-executions allowed per entry beyond the first attempt.
     retries: int = 0
-    #: Per-entry watchdog in seconds: a dispatched entry that has not
-    #: completed within this budget is treated as hung — the pool is
-    #: abandoned (hung workers are terminated best-effort) and the
-    #: entry charged a failed attempt.  None disables the watchdog.
+    #: Watchdog budget in seconds per entry: a dispatched chunk that
+    #: has not completed within ``entry_timeout × len(chunk)`` is
+    #: treated as hung — the pool is abandoned (hung workers are
+    #: terminated best-effort) and the chunk bisected down to the
+    #: single entry that is charged a failed attempt.  None disables
+    #: the watchdog.
     #: Serial execution cannot preempt itself, so the watchdog needs
     #: ``workers >= 2``; serially, injected hangs degrade to slow
     #: transient failures.
@@ -227,8 +235,8 @@ class CampaignJournal:
             self._handle.close()
             self._handle = None
 
-    # The journal rides on the runner into pool workers (workers never
-    # write it); the open handle stays parent-side.
+    # A pickled copy (say, of a runner's resilience bundle) never
+    # carries the open handle, which stays with its process.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_handle"] = None
@@ -371,65 +379,83 @@ def execute_with_retries(execute: "Callable[[int], Any]", label: str,
 # -- parallel resilient dispatch -----------------------------------------------
 
 
-def resilient_map(fn: "Callable[[Any, int], Any]",
+@dataclass(eq=False)
+class _Chunk:
+    """Contiguous payload indices dispatched as one future."""
+
+    indices: Tuple[int, ...]
+    #: Not dispatched before this monotonic time (retry backoff).
+    ready_at: float = 0.0
+    #: Dispatch with nothing else in flight: a single entry caught in a
+    #: pool break, so a second break can only be its own doing.
+    isolate: bool = False
+
+
+def resilient_map(fn: "Callable[[Any], Tuple[List[Any], Optional[str]]]",
                   payloads: "Sequence[Any]", workers: int,
                   resilience: Resilience,
                   describe: "Callable[[Any], str]",
-                  fallback: "Callable[[Any, FailureEntry], Any]"
-                  ) -> "Iterator[Any]":
-    """Per-future map over the shared pool, yielding results in
-    payload order, surviving crashes and hangs.
+                  fallback: "Callable[[Any, FailureEntry], Any]",
+                  chunk_size: int = 1,
+                  initializer: "Optional[Callable[..., None]]" = None,
+                  initargs: tuple = ()) -> "Iterator[Any]":
+    """Chunked map over the shared pool, yielding one result per
+    payload in payload order, surviving crashes and hangs.
 
-    ``fn(payload, attempt)`` runs in a pool worker; the attempt number
-    is threaded through so seeded fault plans target deterministically.
-    At most ``workers`` payloads are in flight (a sliding window), so
-    the per-entry watchdog measures actual execution time, not queue
-    time.  Recovery behavior:
+    Payloads travel in contiguous chunks of ``chunk_size``:
+    ``fn((chunk_payloads, attempts))`` runs in a pool worker, where
+    ``attempts`` holds each payload's fault-targeting attempt (so
+    seeded fault plans target deterministically), and returns
+    ``(results, error)`` — the results of the chunk's leading payloads
+    and, if the payload after them raised, its error message (``None``
+    when the whole chunk completed).  ``initializer(*initargs)``
+    installs the campaign context in each worker once per pool start
+    (see :func:`~repro.fanout.shared_pool`).  At most ``workers``
+    chunks are in flight (a sliding window), so the watchdog —
+    ``entry_timeout`` per payload in the chunk — measures execution
+    time, not queue time.  Recovery behavior:
 
+    * **entry exception**: attributable, so charged against that
+      payload alone; the chunk's completed prefix resolves, its
+      untouched rest re-dispatches, and the pool keeps running.
     * **worker crash** (``BrokenProcessPool``): the pool is respawned
-      and only unfinished payloads re-dispatch.  Survivors advance
-      their fault-targeting attempt but are charged a retry only if
-      the pool breaks *again* while they settle (see module docstring).
-    * **entry hang** (watchdog): the overdue entries are charged a
-      failed attempt, the pool is abandoned without waiting
-      (:func:`~repro.fanout.abandon_shared_pool`), and everything
-      unfinished re-dispatches.
-    * **entry exception**: charged against that entry alone; the pool
-      keeps running.
+      and every chunk that was on it re-dispatches bisected, uncharged
+      (see module docstring).  A lone entry that breaks the pool while
+      dispatched alone is charged.
+    * **chunk hang** (watchdog): the pool is abandoned without waiting
+      (:func:`~repro.fanout.abandon_shared_pool`); the overdue chunk
+      is bisected, or charged when it is a single entry, and the
+      chunks that were merely in flight beside it re-dispatch as they
+      were.
 
-    An entry that exhausts ``policy.retries`` resolves to
+    A payload that exhausts ``policy.retries`` resolves to
     ``fallback(payload, failure)`` — the campaign completes with a
     failure manifest instead of aborting.
     """
     from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    from ..fanout import (abandon_shared_pool, shared_pool,
+    from ..fanout import (abandon_shared_pool, shared_submit,
                           shutdown_shared_pool)
 
     policy = resilience.policy
     manifest = resilience.manifest
     n = len(payloads)
+    size = max(1, chunk_size)
     results: "Dict[int, Any]" = {}
-    resolved = 0
     next_yield = 0
     charged = [0] * n
     fault_attempt = [0] * n
     first_dispatch: "List[Optional[float]]" = [None] * n
-    ready_at = [0.0] * n
-    pending: "List[int]" = list(range(n))
-    inflight: "Dict[Any, int]" = {}
-    submitted_at: "Dict[Any, float]" = {}
-    #: After an unattributed pool break: the survivor indices that
-    #: must settle before new payloads dispatch (None = normal mode).
-    settling: "Optional[Set[int]]" = None
+    pending = [_Chunk(tuple(range(start, min(start + size, n))))
+               for start in range(0, n, size)]
+    #: future -> (chunk, the pool it runs on, watchdog deadline)
+    inflight: "Dict[Any, Tuple[_Chunk, Any, float]]" = {}
+    #: Pools whose break has been counted and handled (held, so no
+    #: later pool can reuse one's identity).
+    broken: "List[Any]" = []
 
-    def resolve(index: int, value: Any) -> None:
-        nonlocal resolved
-        results[index] = value
-        resolved += 1
-
-    def charge(index: int, error: str) -> None:
+    def charge(index: int, error: str, isolate: bool = False) -> None:
         """One failed attempt attributed to ``index`` itself."""
         charged[index] += 1
         fault_attempt[index] += 1
@@ -441,132 +467,139 @@ def resilient_map(fn: "Callable[[Any, int], Any]",
                 elapsed_s=(time.monotonic() - started
                            if started is not None else 0.0))
             manifest.failures.append(failure)
-            resolve(index, fallback(payloads[index], failure))
+            results[index] = fallback(payloads[index], failure)
         else:
             manifest.retries += 1
-            ready_at[index] = time.monotonic() + policy.backoff_for(
-                describe(payloads[index]), charged[index] - 1)
-            pending.append(index)
+            pending.append(_Chunk((index,), time.monotonic()
+                                  + policy.backoff_for(
+                                      describe(payloads[index]),
+                                      charged[index] - 1), isolate))
 
-    def on_pool_break() -> None:
-        """Respawn after ``BrokenProcessPool``: every in-flight future
-        is doomed; survivors re-dispatch (settle phase decides who, if
-        anyone, gets charged — see module docstring)."""
-        nonlocal settling
-        manifest.pool_breaks += 1
-        manifest.respawns += 1
-        survivors = sorted(inflight.values())
-        in_settle = settling is not None
-        inflight.clear()
-        submitted_at.clear()
-        for index in survivors:
-            if in_settle:
-                # charge() advances the fault-targeting attempt too.
-                charge(index, "worker crashed (pool broke repeatedly "
-                              "while settling)")
-            else:
-                fault_attempt[index] += 1
-                pending.append(index)
-        settling = {index for index in survivors
-                    if index not in results}
-        shutdown_shared_pool()
+    def bisect(chunk: _Chunk) -> None:
+        """Re-dispatch an unattributed failure uncharged, with the
+        fault-targeting attempt advanced: as two halves, or — a single
+        entry — alone."""
+        indices = chunk.indices
+        for index in indices:
+            fault_attempt[index] += 1
+        if len(indices) == 1:
+            pending.append(_Chunk(indices, isolate=True))
+        else:
+            middle = len(indices) // 2
+            pending.append(_Chunk(indices[:middle]))
+            pending.append(_Chunk(indices[middle:]))
 
-    while resolved < n or next_yield < n:
+    def settle(chunk: _Chunk, value: "Tuple[List[Any], Optional[str]]"
+               ) -> None:
+        done, error = value
+        for index, result in zip(chunk.indices, done):
+            results[index] = result
+        rest = chunk.indices[len(done):]
+        if error is not None and rest:
+            charge(rest[0], error)
+            rest = rest[1:]
+        if rest:
+            pending.append(_Chunk(rest))
+
+    def dispatch() -> None:
+        """Fill the window with ready chunks, lowest index first."""
+        now = time.monotonic()
+        pending.sort(key=lambda chunk: chunk.indices[0])
+        for chunk in list(pending):
+            if len(inflight) >= max(1, workers) or any(
+                    c.isolate for c, _, _ in inflight.values()):
+                return
+            if chunk.ready_at > now:
+                continue
+            if chunk.isolate and inflight:
+                return  # let the window drain so it runs alone
+            specs = tuple(payloads[i] for i in chunk.indices)
+            attempts = tuple(fault_attempt[i] for i in chunk.indices)
+            try:
+                pool, future = shared_submit(fn, (specs, attempts), workers,
+                                             initializer, initargs)
+            except BrokenProcessPool:
+                return  # never ran; the in-flight chunks report the break
+            pending.remove(chunk)
+            for index in chunk.indices:
+                if first_dispatch[index] is None:
+                    first_dispatch[index] = now
+            budget = (policy.entry_timeout * len(chunk.indices)
+                      if policy.entry_timeout is not None else math.inf)
+            inflight[future] = (chunk, pool, time.monotonic() + budget)
+
+    while next_yield < n:
+        # Refill the window before handing results over, so workers
+        # keep running while the caller stores and journals them.
+        dispatch()
         while next_yield in results:
-            value = results.pop(next_yield)
+            yield results.pop(next_yield)
             next_yield += 1
-            yield value
         if next_yield >= n:
             break
-        now = time.monotonic()
-        if settling is not None and not (settling & set(pending)) \
-                and not (settling & set(inflight.values())):
-            settling = None  # survivors cleared: back to normal mode
-        dispatchable = sorted(
-            index for index in pending
-            if ready_at[index] <= now
-            and (settling is None or index in settling))
-        dispatched_any = False
-        while dispatchable and len(inflight) < max(1, workers):
-            index = dispatchable.pop(0)
-            pending.remove(index)
-            if first_dispatch[index] is None:
-                first_dispatch[index] = time.monotonic()
-            pool = shared_pool(workers)
-            try:
-                future = pool.submit(fn, payloads[index],
-                                     fault_attempt[index])
-            except BrokenProcessPool:
-                pending.append(index)
-                on_pool_break()
-                break
-            inflight[future] = index
-            submitted_at[future] = time.monotonic()
-            dispatched_any = True
         if not inflight:
-            if pending:
-                # Everyone is backing off (or settling members are
-                # waiting on their backoff): sleep to the earliest
-                # ready time instead of spinning.
-                gate = [ready_at[index] for index in pending
-                        if settling is None or index in settling]
-                if not gate:
-                    gate = [ready_at[index] for index in pending]
-                pause = max(0.0, min(gate) - time.monotonic())
-                if pause > 0 and not dispatched_any:
-                    time.sleep(min(pause, 0.05))
+            # Everyone is backing off: sleep toward the earliest ready
+            # time instead of spinning.
+            pause = min(chunk.ready_at for chunk in pending) \
+                - time.monotonic()
+            if pause > 0:
+                time.sleep(min(pause, 0.05))
             continue
-        timeout = None
-        if policy.entry_timeout is not None:
-            deadline = (min(submitted_at[f] for f in inflight)
-                        + policy.entry_timeout)
-            timeout = max(0.0, deadline - time.monotonic())
+        deadline = min(entry[2] for entry in inflight.values())
+        timeout = (None if deadline == math.inf
+                   else max(0.0, deadline - time.monotonic()))
         done, _ = wait(set(inflight), timeout=timeout,
                        return_when=FIRST_COMPLETED)
-        if done:
-            broke = False
-            for future in done:
-                index = inflight.pop(future)
-                submitted_at.pop(future, None)
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
-                    # Handled once for the whole break below: put this
-                    # future's index back so on_pool_break sees it.
-                    inflight[future] = index
-                    broke = True
-                except Exception as exc:
-                    if settling is not None:
-                        settling.discard(index)
-                    charge(index, str(exc) or type(exc).__name__)
+        for future in done:
+            chunk, pool, _ = inflight.pop(future)
+            try:
+                value = future.result()
+            except BrokenProcessPool:
+                if not any(pool is seen for seen in broken):
+                    broken.append(pool)
+                    manifest.pool_breaks += 1
+                    manifest.respawns += 1
+                    shutdown_shared_pool(pool)
+                if chunk.isolate:
+                    # Dispatched alone: the break is its own doing.
+                    charge(chunk.indices[0], "worker crashed (pool broke "
+                                             "with this entry alone)",
+                           isolate=True)
                 else:
-                    if settling is not None:
-                        settling.discard(index)
-                    resolve(index, value)
-            if broke:
-                on_pool_break()
-            continue
-        # Watchdog: the wait timed out — charge every overdue entry,
-        # abandon the wedged pool, re-dispatch everything unfinished.
-        now = time.monotonic()
-        overdue = [future for future, started in submitted_at.items()
-                   if policy.entry_timeout is not None
-                   and now - started >= policy.entry_timeout]
-        if not overdue:
-            continue  # spurious wake (e.g. clamped timeout)
-        manifest.respawns += 1
-        survivors = []
-        for future, index in list(inflight.items()):
-            if future in overdue:
-                manifest.hang_timeouts += 1
-                if settling is not None:
-                    settling.discard(index)
-                charge(index, f"entry exceeded the "
-                              f"{policy.entry_timeout:.3f}s watchdog")
+                    bisect(chunk)
+            except Exception as exc:
+                # Raised outside any entry (the worker could not run the
+                # chunk at all): unattributed below a single entry.
+                if len(chunk.indices) == 1:
+                    charge(chunk.indices[0], str(exc) or type(exc).__name__)
+                else:
+                    bisect(chunk)
             else:
-                survivors.append(index)
-        inflight.clear()
-        submitted_at.clear()
-        for index in survivors:
-            pending.append(index)  # healthy: uncharged, same attempt
-        abandon_shared_pool()
+                settle(chunk, value)
+        if done:
+            continue
+        # Watchdog: the wait timed out — bisect or charge each overdue
+        # chunk, abandon its wedged pool, and re-dispatch the chunks
+        # that were merely in flight on it.
+        now = time.monotonic()
+        wedged = {id(pool): pool for _, pool, deadline in inflight.values()
+                  if now >= deadline}
+        if not wedged:
+            continue  # spurious wake (e.g. clamped timeout)
+        for future, (chunk, pool, deadline) in list(inflight.items()):
+            if id(pool) not in wedged:
+                continue
+            del inflight[future]
+            if now < deadline:
+                pending.append(chunk)  # healthy: uncharged, same attempt
+                continue
+            manifest.hang_timeouts += 1
+            if len(chunk.indices) == 1:
+                charge(chunk.indices[0], f"entry exceeded the "
+                                         f"{policy.entry_timeout:.3f}s "
+                                         f"watchdog")
+            else:
+                bisect(chunk)
+        for pool in wedged.values():
+            manifest.respawns += 1
+            abandon_shared_pool(pool)

@@ -21,6 +21,7 @@ Campaigns can be consumed three ways:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
@@ -488,22 +489,16 @@ class TestRunner:
         run_seed = self.run_seed_for(case, profile, value_ms, repetition)
         return CampaignStore.key(run_seed, digest, value_ms, repetition)
 
-    def run_cached(self, case: TestCaseConfig, profile: ClientProfile,
-                   value_ms: int, repetition: int = 0,
-                   config_digest: Optional[str] = None) -> RunRecord:
-        """:meth:`run_single` through the store: cache hits skip
-        execution entirely; misses execute and populate the store."""
-        if self.store is None:
-            return self.run_single(case, profile, value_ms, repetition)
-        key = self.store_key_for(case, profile, value_ms, repetition,
-                                 config_digest)
-        record = self.store.get_record(key)
-        if record is None:
-            record = self.run_single(case, profile, value_ms, repetition)
-            self.store.put_record(key, record)
-        return record
-
     # -- one run ------------------------------------------------------------------
+
+    def worker_copy(self) -> "TestRunner":
+        """This runner without its store and resilience bundle — what
+        a pool worker needs to :meth:`run_single`, and nothing that
+        belongs to the parent process."""
+        clone = copy.copy(self)
+        clone.store = None
+        clone.resilience = None
+        return clone
 
     def run_single(self, case: TestCaseConfig, profile: ClientProfile,
                    value_ms: int, repetition: int = 0) -> RunRecord:

@@ -172,9 +172,10 @@ class CampaignSpec:
     resolver_timeout: float = 5.0
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
-    #: Fault-tolerance stanzas: per-entry retry budget, per-entry
-    #: watchdog in seconds, and a chaos fault plan (the declarative
-    #: twin of the CLI's ``--retries/--entry-timeout/--fault-plan``).
+    #: Fault-tolerance stanzas: per-entry retry budget, watchdog
+    #: budget per entry in seconds, and a chaos fault plan (the
+    #: declarative twin of the CLI's
+    #: ``--retries/--entry-timeout/--fault-plan``).
     retries: int = 0
     entry_timeout: Optional[float] = None
     faults: Optional[FaultPlan] = None

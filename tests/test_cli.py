@@ -136,6 +136,31 @@ class TestCliResilience:
         with pytest.raises(SystemExit, match="retries"):
             main(["--retries", "-1", "figure2", "--step", "400"])
 
+    @pytest.mark.parametrize("flags,experiment", [
+        (["--fault-plan", "crash:1.0:5", "--retries", "1"],
+         ["run", "fingerprint", "Chrome"]),
+        (["--retries", "0"], ["table2", "--repetitions", "3"]),
+        (["--entry-timeout", "5"], ["run", "conformance-svcb"]),
+        (["--resume"], ["figure4"]),
+    ])
+    def test_resilience_flags_rejected_where_ignored(self, tmp_path,
+                                                     flags, experiment):
+        """An experiment outside the resilient runtime would drop these
+        flags on the floor (a clean report, no ``[faults]`` line), so
+        it refuses them and names both flag and experiment."""
+        name = experiment[1] if experiment[0] == "run" else experiment[0]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache-dir", str(tmp_path), *flags, *experiment])
+        message = str(excinfo.value)
+        assert flags[0] in message and name in message
+        assert not (tmp_path / ".journal").exists()
+
+    def test_store_only_session_is_not_rejected(self, capsys,
+                                                tmp_path):
+        assert main(["--cache-dir", str(tmp_path), "run",
+                     "conformance-svcb"]) == 0
+        assert "[faults]" not in capsys.readouterr().out
+
     def test_chaos_run_is_byte_identical(self, capsys, tmp_path):
         """The headline invariant, end to end through the CLI: a
         figure rendered under an injected crash+corruption plan with

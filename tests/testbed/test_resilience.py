@@ -202,6 +202,102 @@ class TestChaosInvariant:
         assert res.manifest.store_write_errors > 0
 
 
+#: Nine sweep values x two clients = 18 entries, so ``workers=2``
+#: dispatches chunks of three (``_CHUNKS_PER_WORKER`` = 4).
+CHUNKED_VALUES = tuple(range(0, 321, 40))
+
+
+@pytest.fixture(scope="module")
+def chunked_clean():
+    return list(chaos_runner(values=CHUNKED_VALUES).stream())
+
+
+def targeted_indices(runner, plan):
+    return [index for index, coords in enumerate(campaign_coords(runner))
+            if plan.entry_fault(coords, 0)]
+
+
+class TestChunkBisection:
+    """Chunked resilient dispatch: exceptions are attributed inside the
+    worker; crashes and hangs bisect their chunk, uncharged, down to
+    the single entry that is charged."""
+
+    def test_first_attempt_crasher_in_chunk_heals_uncharged(
+            self, chunked_clean):
+        plan = FaultPlan.parse("crash:0.15", seed=3)
+        res = Resilience(policy=RetryPolicy(retries=2, **FAST),
+                         fault_plan=plan)
+        runner = chaos_runner(resilience=res, values=CHUNKED_VALUES)
+        # Entry 2 closes the first chunk: two chunk-mates ran before it.
+        assert targeted_indices(runner, plan) == [2, 8, 9]
+        assert list(runner.stream(workers=2)) == chunked_clean
+        assert res.manifest.pool_breaks > 0
+        assert res.manifest.retries == 0
+        assert not res.manifest.failures
+
+    def test_persistent_crasher_charged_exactly_its_budget(
+            self, chunked_clean):
+        plan = FaultPlan.parse("crash:0.1:99", seed=6)
+        res = Resilience(policy=RetryPolicy(retries=2, **FAST),
+                         fault_plan=plan)
+        runner = chaos_runner(resilience=res, values=CHUNKED_VALUES)
+        targeted = targeted_indices(runner, plan)
+        assert targeted == [1, 11]
+        records = list(runner.stream(workers=2))
+        for index, record in enumerate(records):
+            if index in targeted:
+                assert is_harness_failure(record)
+            else:
+                assert record == chunked_clean[index]
+        assert len(res.manifest.failures) == len(targeted)
+        assert all(f.attempts == 3 for f in res.manifest.failures)
+        assert res.manifest.retries == 2 * len(targeted)
+        assert shared_pool(2).submit(len, ()).result() == 0
+
+    def test_in_worker_exception_charges_only_its_entry(
+            self, chunked_clean):
+        # Without a watchdog an injected hang sleeps, then raises.
+        plan = FaultPlan.parse("hang:0.25:1:0.01", seed=5)
+        res = Resilience(policy=RetryPolicy(retries=1, **FAST),
+                         fault_plan=plan)
+        runner = chaos_runner(resilience=res, values=CHUNKED_VALUES)
+        targeted = targeted_indices(runner, plan)
+        assert len(targeted) == 5
+        assert list(runner.stream(workers=2)) == chunked_clean
+        assert res.manifest.retries == len(targeted)
+        assert res.manifest.pool_breaks == 0
+        assert res.manifest.hang_timeouts == 0
+        assert not res.manifest.failures
+
+    def test_hang_caught_by_chunk_scaled_watchdog(self, chunked_clean):
+        plan = FaultPlan.parse("hang:0.15:1:1.0", seed=6)
+        res = Resilience(policy=RetryPolicy(retries=1, entry_timeout=0.1,
+                                            **FAST), fault_plan=plan)
+        runner = chaos_runner(resilience=res, values=CHUNKED_VALUES)
+        assert targeted_indices(runner, plan) == [2]
+        assert list(runner.stream(workers=2)) == chunked_clean
+        assert res.manifest.hang_timeouts == 1
+        assert res.manifest.respawns >= 1
+        # Bisected uncharged; the halves run on attempt 1, hang-free.
+        assert res.manifest.retries == 0
+        assert not res.manifest.failures
+        assert shared_pool(2).submit(len, ()).result() == 0
+
+    def test_watchdog_budget_scales_with_chunk_length(self, chunked_clean):
+        """A 0.6 s hang overruns one entry's 0.4 s budget but not its
+        three-entry chunk's 1.2 s, so the hang ends in its own
+        exception — attributed and charged — instead of a timeout."""
+        plan = FaultPlan.parse("hang:0.1:1:0.6", seed=5)
+        res = Resilience(policy=RetryPolicy(retries=1, entry_timeout=0.4,
+                                            **FAST), fault_plan=plan)
+        runner = chaos_runner(resilience=res, values=CHUNKED_VALUES)
+        assert targeted_indices(runner, plan) == [1]
+        assert list(runner.stream(workers=2)) == chunked_clean
+        assert res.manifest.hang_timeouts == 0
+        assert res.manifest.retries == 1
+        assert not res.manifest.failures
+
+
 class TestGracefulDegradation:
     def test_serial_budget_exhaustion_completes_campaign(self):
         plan = FaultPlan.parse("crash:1.0:9", seed=5)  # never heals
